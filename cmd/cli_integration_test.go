@@ -5,12 +5,15 @@
 package cmd_test
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"gnumap"
 )
 
 // buildTools compiles the binaries once into a temp dir.
@@ -96,6 +99,49 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 		if !calls2[pos] {
 			t.Errorf("cluster run missing call at %d", pos)
 		}
+	}
+
+	// 4. The CLI's VCF is byte-identical to the library's: a one-worker
+	// CLI run against an in-process pipeline with the same settings,
+	// written through gnumap.WriteVCF.
+	vcf1 := filepath.Join(data, "calls_w1.vcf")
+	run(t, filepath.Join(bins, "gnumap-snp"),
+		"-ref", filepath.Join(data, "reference.fa"),
+		"-reads", filepath.Join(data, "reads.fq"),
+		"-o", vcf1, "-workers", "1")
+	cliVCF, err := os.ReadFile(vcf1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := gnumap.LoadReference(filepath.Join(data, "reference.fa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads, err := gnumap.LoadReads(filepath.Join(data, "reads.fq"), gnumap.Sanger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := gnumap.Options{}
+	opts.Engine.Workers = 1
+	opts.Caller.Alpha = 0.05
+	p, err := gnumap.NewPipeline(ref, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.MapReads(reads); err != nil {
+		t.Fatal(err)
+	}
+	libCalls, _, err := p.Call()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var libVCF bytes.Buffer
+	if err := gnumap.WriteVCF(&libVCF, libCalls); err != nil {
+		t.Fatal(err)
+	}
+	if len(libCalls) == 0 || !bytes.Equal(cliVCF, libVCF.Bytes()) {
+		t.Errorf("CLI VCF (%d bytes) differs from the library's (%d bytes, %d calls)",
+			len(cliVCF), libVCF.Len(), len(libCalls))
 	}
 }
 

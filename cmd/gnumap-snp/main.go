@@ -472,7 +472,7 @@ func run() error {
 		defer f.Close()
 		out = f
 	}
-	if err := writeVCF(out, reference, calls); err != nil {
+	if err := gnumap.WriteVCF(out, calls); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "mapped %d/%d reads (%d locations) in %s; %d SNPs\n",
@@ -557,15 +557,6 @@ func writeTo(path string, fn func(*os.File) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// writeVCF writes calls using the library's VCF writer.
-func writeVCF(out *os.File, reference []*gnumap.Contig, calls []gnumap.SNPCall) error {
-	p, err := gnumap.NewPipeline(reference, gnumap.Options{})
-	if err != nil {
-		return err
-	}
-	return p.WriteVCF(out, calls)
 }
 
 // parseMemory maps a flag value to a MemoryMode.

@@ -310,9 +310,15 @@ func (p *Pipeline) Call() ([]SNPCall, CallStats, error) {
 	return snp.CallAll(p.ref, acc, p.opts.Caller)
 }
 
-// WriteVCF writes calls as VCF 4.2.
-func (p *Pipeline) WriteVCF(w io.Writer, calls []SNPCall) error {
+// WriteVCF writes calls as VCF 4.2. It needs no pipeline: the VCF
+// depends only on the calls.
+func WriteVCF(w io.Writer, calls []SNPCall) error {
 	return snp.WriteVCF(w, calls, "gnumap-snp")
+}
+
+// WriteVCF writes calls as VCF 4.2; see the package-level WriteVCF.
+func (p *Pipeline) WriteVCF(w io.Writer, calls []SNPCall) error {
+	return WriteVCF(w, calls)
 }
 
 // WriteSAM maps the reads again and writes each read's single best

@@ -126,6 +126,17 @@ func TestErrorProb(t *testing.T) {
 	}
 }
 
+// TestErrorProbTableBitExact: the lookup table returns exactly the
+// math.Pow value for every possible quality byte.
+func TestErrorProbTableBitExact(t *testing.T) {
+	for q := 0; q < 256; q++ {
+		want := math.Pow(10, -float64(q)/10)
+		if got := ErrorProb(uint8(q)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("ErrorProb(%d) = %v (%#x), want %v (%#x)", q, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestPhredErrorProbRoundTrip(t *testing.T) {
 	f := func(q uint8) bool {
 		q = q % (MaxQuality + 1)

@@ -23,12 +23,15 @@ type Codebook struct {
 	mergeTable [codebookSize][codebookSize]uint8
 }
 
-// defaultCodebook is built once; the construction is deterministic.
-var defaultCodebook = buildDefaultCodebook()
+// defaultCodebook builds the codebook on first use, not at package
+// init: its 256x256 merge table costs tens of milliseconds, which every
+// process would otherwise pay whether or not it runs CENTDISC. The
+// construction is deterministic.
+var defaultCodebook = sync.OnceValue(buildDefaultCodebook)
 
 // DefaultCodebook returns the package-level biologically weighted
 // codebook shared by all CENTDISC accumulators.
-func DefaultCodebook() *Codebook { return defaultCodebook }
+func DefaultCodebook() *Codebook { return defaultCodebook() }
 
 // buildDefaultCodebook enumerates the centroid set. Budget (256):
 //   - 1 zero/uniform-free slot: the uniform distribution.

@@ -372,27 +372,27 @@ func (ix *LargeIndex) MemoryBytes() int64 {
 		int64(len(ix.positions))*4
 }
 
-// lookupTotal implements seedSource: the stored sample (at most
-// MaxStore positions, ascending) plus the seed's true occurrence
-// count. Absent seeds return (nil, 0). The bounds guards make lookups
-// on a structurally corrupt mapping return "absent" instead of
-// panicking; the probe counter bounds the scan on a table with no free
-// slots (impossible for a built index, reachable only via corruption).
-func (ix *LargeIndex) lookupTotal(m dna.Kmer) ([]int32, int) {
+// span finds the packed k-mer's stored sample, positions[lo:lo+n] (at
+// most MaxStore positions, ascending), and its true occurrence count.
+// Absent seeds return all zeros. The bounds guards make lookups on a
+// structurally corrupt mapping return "absent" instead of panicking;
+// the probe counter bounds the scan on a table with no free slots
+// (impossible for a built index, reachable only via corruption).
+func (ix *LargeIndex) span(m dna.Kmer) (lo, n, total int32) {
 	h := mix64(uint64(m))
 	p := h >> (64 - ix.partBits)
-	lo, hi := ix.slotOff[p], ix.slotOff[p+1]
-	size := hi - lo
+	first, end := ix.slotOff[p], ix.slotOff[p+1]
+	size := end - first
 	if size <= 0 {
-		return nil, 0
+		return 0, 0, 0
 	}
 	mask := uint64(size - 1)
 	i := h & mask
 	for probes := int64(0); probes < size; probes++ {
-		s := lo + int64(i)
+		s := first + int64(i)
 		c := ix.counts[s]
 		if c <= 0 { // 0 = free slot; negative only via a corrupt file
-			return nil, 0
+			return 0, 0, 0
 		}
 		if ix.keys[s] == uint64(m) {
 			stored := int64(c)
@@ -401,13 +401,34 @@ func (ix *LargeIndex) lookupTotal(m dna.Kmer) ([]int32, int) {
 			}
 			st := int64(ix.starts[s])
 			if st < 0 || st+stored > int64(len(ix.positions)) {
-				return nil, 0
+				return 0, 0, 0
 			}
-			return ix.positions[st : st+stored], int(c)
+			return int32(st), int32(stored), c
 		}
 		i = (i + 1) & mask
 	}
-	return nil, 0
+	return 0, 0, 0
+}
+
+// lookupBatch implements seedSource. Each seed's hash and probe is
+// independent of the others, so the slot loads of consecutive seeds
+// overlap in the loop.
+func (ix *LargeIndex) lookupBatch(seeds []seedSpan) []int32 {
+	for i := range seeds {
+		s := &seeds[i]
+		s.lo, s.n, s.total = ix.span(s.kmer)
+	}
+	return ix.positions
+}
+
+// lookupTotal returns the stored sample (nil for absent seeds) and the
+// true occurrence count of the packed k-mer.
+func (ix *LargeIndex) lookupTotal(m dna.Kmer) ([]int32, int) {
+	lo, n, total := ix.span(m)
+	if n == 0 {
+		return nil, int(total)
+	}
+	return ix.positions[int(lo) : int(lo)+int(n)], int(total)
 }
 
 // Lookup returns the stored position sample of the packed k-mer (at

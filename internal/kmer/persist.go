@@ -584,7 +584,7 @@ func indexFromBytes(h *indexHeader, lay indexLayout, data, mapped []byte, verify
 	}
 	// Directory structure: monotone, power-of-two (or empty) partition
 	// regions covering exactly the slot array. With this validated,
-	// lookupTotal's probe arithmetic stays inside the arrays for any
+	// span's probe arithmetic stays inside the arrays for any
 	// section contents.
 	if ix.slotOff[0] != 0 || ix.slotOff[h.nParts] != h.nSlots {
 		return nil, fmt.Errorf("%w: directory bounds", ErrCorrupt)
