@@ -32,8 +32,10 @@ bench:
 bench-phmm:
 	$(GO) run ./cmd/snpbench -exp phmm -length 120000 -coverage 4
 
-# Streaming pipeline vs materialized slice on the same FASTQ (writes
-# BENCH_stream.json: reads/sec, peak heap, peak resident reads).
+# Streamed vs materialized input on the same FASTQ, both through the
+# one bounded mapping pipeline: the slice row loads every read first,
+# the stream row maps straight off the file (writes BENCH_stream.json:
+# reads/sec, peak heap, peak resident reads).
 bench-stream:
 	$(GO) run ./cmd/snpbench -exp stream -length 120000 -coverage 6
 

@@ -48,8 +48,8 @@ var (
 )
 
 // CheckpointConfig configures durable checkpointing of a streamed
-// mapping run (Pipeline.MapReadsFromCheckpointed, or RunClusterStream
-// in ReadSplit mode via Options.Checkpoint).
+// mapping run (Pipeline.MapReadsFromCheckpointed, or RunCluster in
+// ReadSplit mode via Options.Checkpoint).
 type CheckpointConfig struct {
 	// Path is the checkpoint file. Every write atomically replaces it
 	// (temp file + fsync + rename), so a crash at any instant leaves

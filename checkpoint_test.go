@@ -190,7 +190,7 @@ func TestLoadStateTypedErrors(t *testing.T) {
 func TestRunClusterStreamCheckpointResume(t *testing.T) {
 	ds := ckptDataset(t)
 	opts := Options{Engine: EngineConfig{Workers: 2, Batch: 8, Queue: 2}}
-	wantCalls, wantSt, err := RunClusterStream(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts)
+	wantCalls, wantSt, err := RunCluster(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +208,14 @@ func TestRunClusterStreamCheckpointResume(t *testing.T) {
 	// The registry wiring RunClusterReport would do per rank; for the
 	// sink metrics we want them on the engine registry rank 0 sees.
 	opts1.Engine.Metrics = reg
-	_, _, err = RunClusterStream(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts1)
+	_, _, err = RunCluster(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts1)
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("interrupted cluster run returned %v, want ErrStopped", err)
 	}
 
 	opts2 := opts
 	opts2.Checkpoint = &CheckpointConfig{Path: ckPath, EveryReads: 150, Resume: true}
-	gotCalls, gotSt, err := RunClusterStream(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts2)
+	gotCalls, gotSt, err := RunCluster(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +232,11 @@ func TestRunClusterStreamCheckpointRejects(t *testing.T) {
 	ck := &CheckpointConfig{Path: filepath.Join(t.TempDir(), "x.ckpt"), EveryReads: 100}
 
 	opts := Options{Checkpoint: ck}
-	if _, _, err := RunClusterStream(2, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads[:50]), opts); err == nil {
+	if _, _, err := RunCluster(2, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads[:50]), opts); err == nil {
 		t.Error("genome-split checkpointing accepted")
 	}
 	opts = Options{Checkpoint: ck, Cluster: ClusterConfig{OpTimeout: time.Second}}
-	if _, _, err := RunClusterStream(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads[:50]), opts); err == nil {
+	if _, _, err := RunCluster(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads[:50]), opts); err == nil {
 		t.Error("fault-tolerant checkpointing accepted")
 	}
 }

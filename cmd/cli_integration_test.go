@@ -143,6 +143,22 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 		t.Errorf("CLI VCF (%d bytes) differs from the library's (%d bytes, %d calls)",
 			len(cliVCF), libVCF.Len(), len(libCalls))
 	}
+
+	// -sam loads the FASTQ instead of streaming it; the loaded reads take
+	// the same mapping path, so the VCF must not change by a byte.
+	vcfSam := filepath.Join(data, "calls_w1_sam.vcf")
+	run(t, filepath.Join(bins, "gnumap-snp"),
+		"-ref", filepath.Join(data, "reference.fa"),
+		"-reads", filepath.Join(data, "reads.fq"),
+		"-o", vcfSam, "-workers", "1", "-sam", filepath.Join(data, "w1.sam"))
+	samVCF, err := os.ReadFile(vcfSam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(samVCF, cliVCF) {
+		t.Errorf("-sam run VCF (%d bytes) differs from the streamed run's (%d bytes)",
+			len(samVCF), len(cliVCF))
+	}
 }
 
 // parseTruth reads readsim's truth TSV into a set of 0-based positions.

@@ -7,7 +7,7 @@
 //	gnumap-snp -ref reference.fa -reads reads.fq -o calls.vcf \
 //	    [-diploid] [-alpha 0.05] [-fdr] [-memory norm|chardisc|centdisc] \
 //	    [-workers N] [-accum-mode auto|striped|sharded] [-call-workers N] \
-//	    [-stream=false] [-batch 64] [-queue 4] \
+//	    [-batch 64] [-queue 4] \
 //	    [-incremental-every 5000] \
 //	    [-nodes N -split read|genome [-tcp]] \
 //	    [-op-timeout 5s] [-heartbeat 100ms] [-chaos seed=42,drop=0.01] \
@@ -36,18 +36,19 @@
 // kill and the final VCF matches an uninterrupted run. SIGINT/SIGTERM
 // trigger a graceful stop: drain the pipeline, write a final
 // checkpoint, flush -metrics-out, exit with code 3 (a second signal
-// aborts immediately). Checkpointing needs a replayable stream: it is
-// incompatible with -fit/-sam/-stream=false, and on clusters with
-// -split genome, -op-timeout, and -chaos.
+// aborts immediately). Checkpointing needs the FASTQ streamed, not
+// loaded: it is incompatible with -fit/-sam (which load the reads for
+// random access), and on clusters with -split genome, -op-timeout, and
+// -chaos.
 //
 // Incremental calling: -incremental-every N overlaps SNP calling with
-// mapping on the single-process streaming path — every N reads the
+// single-process mapping of the streamed FASTQ — every N reads the
 // pipeline quiesces, only the genome regions written since the last
 // barrier are re-swept, and a provisional call set is produced; the
 // final VCF comes from the last incremental sweep and matches the
 // post-map sweep of an ordinary run. The first-provisional-call time is
-// reported on stderr. Incompatible with -checkpoint (both own the
-// quiesce cadence) and with clusters.
+// reported on stderr. Incompatible with -fit/-sam, with -checkpoint
+// (both own the quiesce cadence), and with clusters.
 package main
 
 import (
@@ -103,7 +104,6 @@ func run() error {
 		accumMode  = flag.String("accum-mode", "auto", "accumulator write strategy: auto, striped (lock stripes on one shared copy), or sharded (lock-free per-worker shards, merged before calling)")
 		callWk     = flag.Int("call-workers", 0, "calling-sweep worker count (0 = GOMAXPROCS, 1 = serial; results are bit-identical regardless)")
 		callVec    = flag.Bool("call-vector", true, "vectorized plane-streaming calling sweep (norm layout only; calls are bit-identical to the scalar sweep either way)")
-		stream     = flag.Bool("stream", true, "stream reads through the bounded pipeline instead of materializing the FASTQ (auto-off with -fit or -sam, which need the full read slice)")
 		batch      = flag.Int("batch", 0, "reads per streaming batch (0 = default 64)")
 		queue      = flag.Int("queue", 0, "streaming work-queue bound, in batches (0 = default 4)")
 		band       = flag.Int("band", 0, "PHMM band width in DP cells around the seed diagonal (0 = auto 2*pad+2, negative = exact full kernel)")
@@ -175,8 +175,8 @@ func run() error {
 		return err
 	}
 	// Fitting and SAM output need random access to the whole read set,
-	// so they force the materialized path.
-	streaming := *stream && !*fit && *samPath == ""
+	// so they load the FASTQ; every other run streams it.
+	loadReads := *fit || *samPath != ""
 
 	// Checkpoint setup: watermarks name positions in the read stream, so
 	// every mode without a replayable stream is rejected up front.
@@ -185,8 +185,8 @@ func run() error {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 	if *ckptPath != "" {
-		if !streaming {
-			return fmt.Errorf("-checkpoint requires the streaming path: drop -fit/-sam and keep -stream=true")
+		if loadReads {
+			return fmt.Errorf("-checkpoint needs the FASTQ streamed: drop -fit/-sam, which load every read")
 		}
 		if *nodes > 1 && (*split != "read" || *opTimeout > 0 || *chaos != "") {
 			return fmt.Errorf("-checkpoint on a cluster supports only -split read without -op-timeout/-chaos")
@@ -217,8 +217,8 @@ func run() error {
 		if *incEvery < 0 {
 			return fmt.Errorf("-incremental-every %d: read interval must be positive", *incEvery)
 		}
-		if !streaming {
-			return fmt.Errorf("-incremental-every requires the streaming path: drop -fit/-sam and keep -stream=true")
+		if loadReads {
+			return fmt.Errorf("-incremental-every needs the FASTQ streamed: drop -fit/-sam, which load every read")
 		}
 		if *nodes > 1 {
 			return fmt.Errorf("-incremental-every runs single-process only (the cluster paths keep their own call flow)")
@@ -228,7 +228,7 @@ func run() error {
 		}
 	}
 	var reads []*gnumap.Read
-	if !streaming {
+	if loadReads {
 		reads, err = gnumap.LoadReads(*readsPath, enc)
 		if err != nil {
 			return err
@@ -339,30 +339,19 @@ func run() error {
 			}
 			opts.Cluster.Fault = &fc
 		}
-		if streaming {
-			src, err := gnumap.OpenReads(*readsPath, enc)
-			if err != nil {
-				return err
-			}
-			opts.Checkpoint = ckptCfg
-			if *metricsOut != "" {
-				calls, stats, report, err = gnumap.RunClusterStreamReport(*nodes, transport, splitMode, reference, src, opts)
-			} else {
-				calls, stats, err = gnumap.RunClusterStream(*nodes, transport, splitMode, reference, src, opts)
-			}
-			if cerr := src.Close(); err == nil {
-				err = cerr
-			}
-			if errors.Is(err, gnumap.ErrStopped) {
-				return fmt.Errorf("%w to %s; relaunch with -resume to continue", err, *ckptPath)
-			}
-			if err != nil {
-				return err
-			}
-		} else if *metricsOut != "" {
-			calls, stats, report, err = gnumap.RunClusterReport(*nodes, transport, splitMode, reference, reads, opts)
+		opts.Checkpoint = ckptCfg
+		src, closeSrc, err := openSource(reads, *readsPath, enc)
+		if err != nil {
+			return err
+		}
+		if *metricsOut != "" {
+			calls, stats, report, err = gnumap.RunClusterReport(*nodes, transport, splitMode, reference, src, opts)
 		} else {
-			calls, stats, err = gnumap.RunCluster(*nodes, transport, splitMode, reference, reads, opts)
+			calls, stats, err = gnumap.RunCluster(*nodes, transport, splitMode, reference, src, opts)
+		}
+		err = closeSrc(err)
+		if errors.Is(err, gnumap.ErrStopped) {
+			return fmt.Errorf("%w to %s; relaunch with -resume to continue", err, *ckptPath)
 		}
 		if err != nil {
 			return err
@@ -380,46 +369,37 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		src, closeSrc, err := openSource(reads, *readsPath, enc)
+		if err != nil {
+			return err
+		}
 		var incRes *gnumap.IncrementalResult
-		if streaming {
-			src, err := gnumap.OpenReads(*readsPath, enc)
-			if err != nil {
-				return err
-			}
-			switch {
-			case ckptCfg != nil:
-				stats, err = runCheckpointed(p, src, ckptCfg)
-			case *incEvery > 0:
-				stats, incRes, err = p.MapReadsFromIncremental(src, gnumap.IncrementalCallConfig{EveryReads: *incEvery})
-			default:
-				stats, err = p.MapReadsFrom(src)
-			}
-			if cerr := src.Close(); err == nil {
-				err = cerr
-			}
-			if errors.Is(err, gnumap.ErrStopped) {
-				// Flush what the interrupted run did record before exiting
-				// with the resumable status.
-				if reg != nil {
-					if rep, rerr := gnumap.NewMetricsReport([]gnumap.MetricsSnapshot{
-						reg.Snapshot(0),
-						gnumap.ProcessMetrics().Snapshot(gnumap.MetricsProcessRank),
-					}, nil); rerr == nil {
-						if werr := writeTo(*metricsOut, func(f *os.File) error { return rep.WriteJSON(f) }); werr != nil {
-							log.Printf("metrics-out: %v", werr)
-						}
+		switch {
+		case ckptCfg != nil:
+			stats, err = runCheckpointed(p, src, ckptCfg)
+		case *incEvery > 0:
+			stats, incRes, err = p.MapReadsFromIncremental(src, gnumap.IncrementalCallConfig{EveryReads: *incEvery})
+		default:
+			stats, err = p.MapReadsFrom(src)
+		}
+		err = closeSrc(err)
+		if errors.Is(err, gnumap.ErrStopped) {
+			// Flush what the interrupted run did record before exiting
+			// with the resumable status.
+			if reg != nil {
+				if rep, rerr := gnumap.NewMetricsReport([]gnumap.MetricsSnapshot{
+					reg.Snapshot(0),
+					gnumap.ProcessMetrics().Snapshot(gnumap.MetricsProcessRank),
+				}, nil); rerr == nil {
+					if werr := writeTo(*metricsOut, func(f *os.File) error { return rep.WriteJSON(f) }); werr != nil {
+						log.Printf("metrics-out: %v", werr)
 					}
 				}
-				return fmt.Errorf("%w to %s; relaunch with -resume to continue", err, ckptCfg.Path)
 			}
-			if err != nil {
-				return err
-			}
-		} else {
-			stats, err = p.MapReads(reads)
-			if err != nil {
-				return err
-			}
+			return fmt.Errorf("%w to %s; relaunch with -resume to continue", err, ckptCfg.Path)
+		}
+		if err != nil {
+			return err
 		}
 		if incRes != nil {
 			// The incremental run's final sweep already produced the
@@ -489,6 +469,26 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// openSource returns the run's read source: the reads -fit/-sam loaded
+// (non-nil reads), or the FASTQ at path streamed through the bounded
+// pipeline. closeSrc closes the stream, publishing its I/O metrics, and
+// returns err, or the close error when err is nil.
+func openSource(reads []*gnumap.Read, path string, enc gnumap.QualityEncoding) (src gnumap.ReadSource, closeSrc func(error) error, err error) {
+	if reads != nil {
+		return gnumap.SliceReadSource(reads), func(err error) error { return err }, nil
+	}
+	f, err := gnumap.OpenReads(path, enc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, func(err error) error {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}, nil
 }
 
 // runCheckpointed is the single-process checkpointed mapping leg:

@@ -421,14 +421,15 @@ func msRound(d time.Duration) time.Duration {
 	}
 }
 
-// runStream measures the streaming pipeline against the materialized
-// slice path on the same on-disk FASTQ — plus a third row with durable
-// checkpoints every ckptEvery reads — and writes the machine-readable
+// runStream measures streamed against materialized input on the same
+// on-disk FASTQ, both through the one bounded mapping pipeline — plus
+// rows with durable checkpoints and with incremental calling every
+// ckptEvery reads — and writes the machine-readable
 // BENCH_stream.json (reads/sec, sampled peak heap as the RSS proxy,
 // the pipeline's resident-reads high-water mark, and the checkpoint
 // overhead fraction).
 func runStream(ds *experiments.Dataset, workers int, ckptEvery int64, outPath string) {
-	fmt.Println("STREAM — bounded pipeline vs materialized slice, same FASTQ")
+	fmt.Println("STREAM — streamed vs materialized input, one bounded pipeline, same FASTQ")
 	const (
 		batch = 64
 		queue = 4

@@ -145,15 +145,16 @@ type Options struct {
 	Cluster ClusterConfig
 	// Metrics, when non-nil, receives the pipeline's stage timers and
 	// counters (mapping, Pair-HMM, calling). It applies to NewPipeline;
-	// cluster runs instead build one registry per rank — use
-	// RunClusterReport to get the aggregated result.
+	// RunCluster ignores it, and RunClusterReport builds one registry per
+	// rank and returns the aggregated result.
 	Metrics *MetricsRegistry
-	// Checkpoint, when non-nil, makes RunClusterStream write durable
-	// checkpoints (and honor Resume/StopRequested). Only the streamed
-	// ReadSplit path supports it; fault-tolerant (OpTimeout > 0) and
-	// chaos runs are rejected — shard reassignment and checkpoint
-	// watermarks cannot both own the replay story. Single-process
-	// pipelines use Pipeline.MapReadsFromCheckpointed instead.
+	// Checkpoint, when non-nil, makes RunCluster and RunClusterReport
+	// write durable checkpoints (and honor Resume/StopRequested). Only
+	// streamed ReadSplit runs support it; GenomeSplit, fault-tolerant
+	// (OpTimeout > 0) and chaos runs are rejected — shard reassignment
+	// and checkpoint watermarks cannot both own the replay story.
+	// Single-process pipelines use Pipeline.MapReadsFromCheckpointed
+	// instead.
 	Checkpoint *CheckpointConfig
 }
 
@@ -274,8 +275,8 @@ func (p *Pipeline) noteRun(st MapStats) {
 	p.consumed += st.Mapped + st.Unmapped
 }
 
-// MapReads maps a batch of reads into the pipeline's accumulator using
-// the shared-memory worker pool. It may be called repeatedly.
+// MapReads maps a batch of reads into the pipeline's accumulator: it is
+// MapReadsFrom over SliceReadSource(reads). It may be called repeatedly.
 func (p *Pipeline) MapReads(reads []*Read) (MapStats, error) {
 	st, err := p.eng.MapReads(reads, p.acc, 0)
 	if err == nil {
@@ -287,8 +288,7 @@ func (p *Pipeline) MapReads(reads []*Read) (MapStats, error) {
 // MapReadsFrom maps every read the source yields through the bounded
 // streaming pipeline: resident memory is capped at
 // (Engine.Queue + Engine.Workers) · Engine.Batch reads regardless of
-// the input size, and the accumulated result is call-identical to
-// MapReads over the materialized stream. It may be called repeatedly.
+// the input size. It may be called repeatedly.
 func (p *Pipeline) MapReadsFrom(src ReadSource) (MapStats, error) {
 	st, err := p.eng.MapReadsFrom(src, p.acc, 0)
 	if err == nil {
@@ -538,8 +538,8 @@ func LoadReads(path string, enc QualityEncoding) ([]*Read, error) {
 	return fastq.ReadFile(path, enc)
 }
 
-// ReadSource yields reads one at a time until io.EOF — the streaming
-// input of MapReadsFrom and RunClusterStream.
+// ReadSource yields reads one at a time until io.EOF — the input of
+// MapReadsFrom and RunCluster.
 type ReadSource = fastq.Source
 
 // ReadStream is a streaming FASTQ file handle (a ReadSource plus
@@ -777,74 +777,45 @@ func (m SplitMode) String() string {
 	}
 }
 
-// RunCluster maps reads and calls SNPs on a simulated cluster of the
-// given size, returning the calls and global mapping statistics. In
-// ReadSplit mode the reduction happens at rank 0, which also calls
-// SNPs; in GenomeSplit mode every rank calls SNPs on its genome slice
-// and the calls are gathered — except under FDR control, where the
-// per-position LRT candidates are gathered to rank 0 and the
-// Benjamini-Hochberg pass runs once over the global candidate list
-// (BH thresholds depend on the full ranked p-value list, so running it
-// per shard changes the call set with the node count). Either way the
-// result is equivalent to a single-process run.
-func RunCluster(nodes int, transport Transport, mode SplitMode,
-	reference []*Contig, reads []*Read, opts Options) ([]SNPCall, MapStats, error) {
-
-	calls, stats, _, err := runCluster(nodes, transport, mode, reference, reads, nil, opts, false)
-	return calls, stats, err
-}
-
-// RunClusterStream is RunCluster with the reads streamed rather than
-// replicated: rank 0 owns the source and deals fixed-size batches
+// RunCluster maps the reads src yields and calls SNPs on a simulated
+// cluster of the given size, returning the calls and global mapping
+// statistics. Pass SliceReadSource(reads) for an in-memory read set.
+//
+// In ReadSplit mode rank 0 owns the source and deals fixed-size batches
 // round-robin to the ranks under a bounded credit window, so
 // cluster-wide resident reads stay capped by Engine.{Batch,Queue,
-// Workers} while the call set matches the materialized run. Modes that
-// need the full read slice on every rank fall back transparently by
-// materializing the source first: GenomeSplit (every rank maps all
-// reads) and fault-tolerant runs (OpTimeout > 0 reassigns whole shards,
-// which a stream cannot replay).
-func RunClusterStream(nodes int, transport Transport, mode SplitMode,
+// Workers}; the reduction happens at rank 0, which also calls SNPs.
+// Runs that need every read on every rank materialize the source once
+// first: GenomeSplit (every rank maps all reads) and fault-tolerant runs
+// (OpTimeout > 0 reassigns whole shards, which a stream cannot replay).
+//
+// In GenomeSplit mode every rank calls SNPs on its genome slice and the
+// calls are gathered — except under FDR control, where the per-position
+// LRT candidates are gathered to rank 0 and the Benjamini-Hochberg pass
+// runs once over the global candidate list (BH thresholds depend on the
+// full ranked p-value list, so running it per shard changes the call
+// set with the node count). Either way the result is equivalent to a
+// single-process run.
+func RunCluster(nodes int, transport Transport, mode SplitMode,
 	reference []*Contig, src ReadSource, opts Options) ([]SNPCall, MapStats, error) {
 
-	calls, stats, _, err := runClusterStream(nodes, transport, mode, reference, src, opts, false)
+	calls, stats, _, err := runCluster(nodes, transport, mode, reference, src, opts, false)
 	return calls, stats, err
 }
 
-// RunClusterStreamReport is RunClusterStream with the per-rank
-// observability of RunClusterReport.
-func RunClusterStreamReport(nodes int, transport Transport, mode SplitMode,
+// RunClusterReport is RunCluster with per-rank observability: every
+// rank records its mapping, calling, and communication activity into
+// its own registry; at the end the snapshots are gathered at rank 0
+// (tolerating dead ranks on fault-tolerant runs) and merged into a
+// MetricsReport alongside the process-wide I/O metrics.
+func RunClusterReport(nodes int, transport Transport, mode SplitMode,
 	reference []*Contig, src ReadSource, opts Options) ([]SNPCall, MapStats, *MetricsReport, error) {
 
-	return runClusterStream(nodes, transport, mode, reference, src, opts, true)
+	return runCluster(nodes, transport, mode, reference, src, opts, true)
 }
 
-func runClusterStream(nodes int, transport Transport, mode SplitMode,
-	reference []*Contig, src ReadSource, opts Options, withMetrics bool) ([]SNPCall, MapStats, *MetricsReport, error) {
-
-	if opts.Checkpoint != nil {
-		// Checkpoint watermarks count reads dealt from the stream; the
-		// materialized fallbacks below (and fault-tolerant shard
-		// reassignment) have no stream to watermark, so reject rather
-		// than silently run without durability.
-		if mode != ReadSplit {
-			return nil, MapStats{}, nil, fmt.Errorf("gnumap: checkpointing requires read-split mode, not %v", mode)
-		}
-		if opts.Cluster.OpTimeout > 0 || opts.Cluster.Fault != nil {
-			return nil, MapStats{}, nil, fmt.Errorf("gnumap: checkpointing is incompatible with fault-tolerant and chaos cluster runs")
-		}
-	}
-	if mode != ReadSplit || opts.Cluster.OpTimeout > 0 {
-		reads, err := materializeReads(src)
-		if err != nil {
-			return nil, MapStats{}, nil, err
-		}
-		return runCluster(nodes, transport, mode, reference, reads, nil, opts, withMetrics)
-	}
-	return runCluster(nodes, transport, mode, reference, nil, src, opts, withMetrics)
-}
-
-// materializeReads drains a source into a slice (the fallback for
-// cluster modes that need random access to every read).
+// materializeReads drains a source into a slice (for cluster modes that
+// need random access to every read).
 func materializeReads(src ReadSource) ([]*Read, error) {
 	var reads []*Read
 	for {
@@ -859,29 +830,38 @@ func materializeReads(src ReadSource) ([]*Read, error) {
 	}
 }
 
-// RunClusterReport is RunCluster with per-rank observability: every
-// rank records its mapping, calling, and communication activity into
-// its own registry; at the end the snapshots are gathered at rank 0
-// (tolerating dead ranks on fault-tolerant runs) and merged into a
-// MetricsReport alongside the process-wide I/O metrics.
-func RunClusterReport(nodes int, transport Transport, mode SplitMode,
-	reference []*Contig, reads []*Read, opts Options) ([]SNPCall, MapStats, *MetricsReport, error) {
-
-	return runCluster(nodes, transport, mode, reference, reads, nil, opts, true)
-}
-
-// runCluster executes a cluster run. Exactly one of reads and src is
-// set: a non-nil src selects the streaming read-split path, with rank 0
-// owning the source.
+// runCluster executes a cluster run. Streamed read-split runs leave the
+// reads in src, owned by rank 0; every other run drains src into reads.
 func runCluster(nodes int, transport Transport, mode SplitMode,
-	reference []*Contig, reads []*Read, src ReadSource, opts Options, withMetrics bool) ([]SNPCall, MapStats, *MetricsReport, error) {
+	reference []*Contig, src ReadSource, opts Options, withMetrics bool) ([]SNPCall, MapStats, *MetricsReport, error) {
 
+	if src == nil {
+		return nil, MapStats{}, nil, fmt.Errorf("gnumap: nil read source")
+	}
+	if opts.Checkpoint != nil {
+		// Checkpoint watermarks count reads dealt from the stream; the
+		// materialized runs below (and fault-tolerant shard reassignment)
+		// have no stream to watermark, so reject rather than silently run
+		// without durability.
+		if mode != ReadSplit {
+			return nil, MapStats{}, nil, fmt.Errorf("gnumap: checkpointing requires read-split mode, not %v", mode)
+		}
+		if opts.Cluster.OpTimeout > 0 || opts.Cluster.Fault != nil {
+			return nil, MapStats{}, nil, fmt.Errorf("gnumap: checkpointing is incompatible with fault-tolerant and chaos cluster runs")
+		}
+	}
 	ref, err := genome.NewReference(reference)
 	if err != nil {
 		return nil, MapStats{}, nil, err
 	}
+	var reads []*Read
+	if mode != ReadSplit || opts.Cluster.OpTimeout > 0 {
+		if reads, err = materializeReads(src); err != nil {
+			return nil, MapStats{}, nil, err
+		}
+	}
 	var ckr *clusterCkpt
-	if src != nil && opts.Checkpoint != nil {
+	if opts.Checkpoint != nil {
 		ckr, err = prepareClusterCkpt(ref, src, opts)
 		if err != nil {
 			return nil, MapStats{}, nil, err
@@ -962,7 +942,10 @@ func runClusterNode(c *cluster.Comm, mode SplitMode, ref *genome.Reference,
 		var acc genome.Accumulator
 		var st MapStats
 		var err error
-		if src != nil {
+		if c.OpTimeout() > 0 {
+			// Fault-tolerant: shards are replayed from the materialized reads.
+			acc, st, err = core.RunReadSplit(c, ref, reads, opts.Memory, opts.Engine)
+		} else {
 			var ck *core.StreamCkpt
 			var cw *ckptCommitter
 			if c.Rank() != 0 {
@@ -976,8 +959,6 @@ func runClusterNode(c *cluster.Comm, mode SplitMode, ref *genome.Reference,
 					err = fmt.Errorf("gnumap: checkpoint commit: %w", ferr)
 				}
 			}
-		} else {
-			acc, st, err = core.RunReadSplit(c, ref, reads, opts.Memory, opts.Engine)
 		}
 		if err != nil {
 			// ErrStopped propagates: the final checkpoint is on disk and

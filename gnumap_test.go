@@ -200,7 +200,7 @@ func TestRunClusterBothModes(t *testing.T) {
 
 	for _, mode := range []SplitMode{ReadSplit, GenomeSplit} {
 		calls, st, err := RunCluster(3, Channels, mode,
-			ds.Reference, ds.Reads, Options{Engine: EngineConfig{Workers: 1}})
+			ds.Reference, SliceReadSource(ds.Reads), Options{Engine: EngineConfig{Workers: 1}})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -221,10 +221,10 @@ func TestRunClusterBothModes(t *testing.T) {
 
 func TestRunClusterValidation(t *testing.T) {
 	ds := dataset(t)
-	if _, _, err := RunCluster(2, Channels, SplitMode(9), ds.Reference, ds.Reads[:10], Options{}); err == nil {
+	if _, _, err := RunCluster(2, Channels, SplitMode(9), ds.Reference, SliceReadSource(ds.Reads[:10]), Options{}); err == nil {
 		t.Error("bad split mode accepted")
 	}
-	if _, _, err := RunCluster(2, Channels, ReadSplit, nil, ds.Reads[:10], Options{}); err == nil {
+	if _, _, err := RunCluster(2, Channels, ReadSplit, nil, SliceReadSource(ds.Reads[:10]), Options{}); err == nil {
 		t.Error("nil reference accepted")
 	}
 }
@@ -525,7 +525,7 @@ func TestGenomeSplitGlobalFDRMatchesSingleProcess(t *testing.T) {
 		t.Fatal("single-process FDR run produced no calls; test is vacuous")
 	}
 	for _, nodes := range []int{1, 4} {
-		calls, st, err := RunCluster(nodes, Channels, GenomeSplit, ds.Reference, ds.Reads, opts)
+		calls, st, err := RunCluster(nodes, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads), opts)
 		if err != nil {
 			t.Fatalf("np=%d: %v", nodes, err)
 		}
@@ -547,7 +547,7 @@ func TestGenomeSplitGlobalFDRMatchesSingleProcess(t *testing.T) {
 func TestRunClusterReportHealthy(t *testing.T) {
 	ds := dataset(t)
 	calls, st, report, err := RunClusterReport(3, Channels, GenomeSplit,
-		ds.Reference, ds.Reads, Options{Engine: EngineConfig{Workers: 1}})
+		ds.Reference, SliceReadSource(ds.Reads), Options{Engine: EngineConfig{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +610,7 @@ func TestRunClusterReportDegraded(t *testing.T) {
 		},
 	}
 	calls, st, report, err := RunClusterReport(4, Channels, ReadSplit,
-		ds.Reference, ds.Reads, opts)
+		ds.Reference, SliceReadSource(ds.Reads), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

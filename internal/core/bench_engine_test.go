@@ -8,7 +8,8 @@ import (
 )
 
 // BenchmarkMapReadsEndToEnd measures whole-engine throughput on a
-// 100 kbp dataset (the number EXPERIMENTS.md quotes as reads/s).
+// 100 kbp dataset (the number EXPERIMENTS.md quotes as reads/s),
+// through the one streaming pipeline MapReads feeds a slice into.
 func BenchmarkMapReadsEndToEnd(b *testing.B) {
 	g := makePipelineB(b, 100000, 9, 10, 91)
 	eng, err := NewEngine(g.ref, Config{Workers: 1})
@@ -19,26 +20,6 @@ func BenchmarkMapReadsEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		acc, _ := genome.New(genome.Norm, g.ref.Len())
 		if _, err := eng.MapReads(g.reads, acc, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(g.reads))*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
-}
-
-// BenchmarkMapReadsStream is BenchmarkMapReadsEndToEnd through the
-// bounded streaming pipeline — the reads/s gap between the two is the
-// cost of streaming (batch hand-off, free-list recycling) and should
-// stay within noise of the slice path.
-func BenchmarkMapReadsStream(b *testing.B) {
-	g := makePipelineB(b, 100000, 9, 10, 91)
-	eng, err := NewEngine(g.ref, Config{Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc, _ := genome.New(genome.Norm, g.ref.Len())
-		if _, err := eng.MapReadsFrom(fastq.SliceSource(g.reads), acc, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -44,43 +44,28 @@ func readShard(n, size, r int) (lo, hi int) {
 	return lo, hi
 }
 
-// RunReadSplit executes read-split mapping on one cluster node. Every
-// rank maps its shard of reads against the full reference into a local
-// full-length accumulator; accumulators are then reduced to rank 0. The
-// returned accumulator is the merged result at rank 0 and nil
-// elsewhere; the returned Stats are global on every rank.
+// RunReadSplit executes read-split mapping on one cluster node over an
+// in-memory read slice. Without an op deadline it is the streamed
+// path (RunReadSplitStream) with rank 0 dealing the slice; reads is
+// then consulted on rank 0 only. With a deadline every rank needs the
+// whole slice, because the fault-tolerant protocol (runReadSplitFT)
+// re-maps a dead worker's shard elsewhere. The returned accumulator is
+// the merged result at rank 0 and nil elsewhere; the returned Stats are
+// global on every rank.
 func RunReadSplit(c *cluster.Comm, ref *genome.Reference, reads []*fastq.Read, mode genome.Mode, cfg Config) (genome.Accumulator, Stats, error) {
 	if c.OpTimeout() > 0 {
-		// Deadlines configured: run the fault-tolerant coordinator
-		// protocol, which survives worker loss by reassigning shards.
 		return runReadSplitFT(c, ref, reads, mode, cfg)
 	}
-	var st Stats
-	eng, err := NewEngine(ref, cfg)
-	if err != nil {
-		return nil, st, err
+	var src fastq.Source
+	if c.Rank() == 0 {
+		src = fastq.SliceSource(reads)
 	}
-	acc, err := NewAccumulator(mode, ref.Len(), cfg)
-	if err != nil {
-		return nil, st, err
-	}
-	lo, hi := readShard(len(reads), c.Size(), c.Rank())
-	local, err := eng.MapReads(reads[lo:hi], acc, 0)
-	if err != nil {
-		return nil, st, err
-	}
-	// Fold worker shards before the cross-rank reduction so the
-	// collective tail always sees a plain striped accumulator.
-	combined, err := CombineAccumulator(acc, cfg.Metrics)
-	if err != nil {
-		return nil, st, err
-	}
-	return reduceReadSplit(c, combined, mode, ref.Len(), local)
+	return RunReadSplitStream(c, ref, src, mode, cfg)
 }
 
-// reduceReadSplit is the collective tail shared by the slice and
-// streaming read-split paths: Allreduce the local Stats into global
-// ones and fold the per-rank accumulators to rank 0.
+// reduceReadSplit is the collective tail of the streamed read-split
+// path: Allreduce the local Stats into global ones and fold the
+// per-rank accumulators to rank 0.
 func reduceReadSplit(c *cluster.Comm, acc genome.Accumulator, mode genome.Mode, refLen int, local Stats) (genome.Accumulator, Stats, error) {
 	var st Stats
 	// Global stats.
@@ -447,13 +432,13 @@ func ownerOf(pos, L, size int) int {
 
 // Fault-tolerant read-split (coordinator protocol).
 //
-// The plain read-split path above assumes every rank survives: its
-// collectives (Allreduce, ReduceTree) block forever on a dead peer.
-// When an op timeout is configured, RunReadSplit switches to an
-// explicitly coordinated protocol instead:
+// The streamed read-split path (cluster_stream.go) assumes every rank
+// survives: its collectives (Allreduce, ReduceTree) block forever on a
+// dead peer. When an op timeout is configured, RunReadSplit switches to
+// an explicitly coordinated protocol instead:
 //
-//  1. Every rank maps its 1/N read shard into a full-length local
-//     accumulator, as before.
+//  1. Every rank maps its contiguous 1/N read shard into a full-length
+//     local accumulator.
 //  2. Workers send (stats, serialized state) to rank 0 and await
 //     control messages. Rank 0 receives each worker's result with a
 //     deadline, extending patience while the worker's heartbeats show
@@ -468,11 +453,10 @@ func ownerOf(pos, L, size int) int {
 //
 // Rank 0 itself is not recoverable — it holds the merge — so its death
 // aborts the run (workers detect it via heartbeat loss and error out).
-// Fault-free FT runs merge the same per-shard accumulators as the
-// plain path, so results are identical; only the merge topology
-// (linear at root vs binomial tree) differs, which is exact for the
-// float merges involved... up to the same reordering tolerance the
-// plain path already accepts across node counts.
+// Fault-free FT runs map every read exactly once, as the streamed
+// path does; only the shard layout (contiguous vs dealt batches) and
+// the merge topology (linear at root vs binomial tree) differ, which
+// changes float accumulation order and nothing else.
 
 // ftResult is a worker's report: mapping stats for the shard it just
 // mapped plus the serialized accumulator state.

@@ -16,27 +16,27 @@ func init() {
 	gob.Register(ckptPayload{})
 }
 
-// Streaming read-split: instead of replicating the full read slice on
-// every rank and pre-splitting it (RunReadSplit), rank 0 owns the input
-// stream and deals fixed-size batches round-robin to the ranks — batch
-// i goes to rank i mod size, so the shard assignment is deterministic
-// regardless of relative rank speed. A per-rank credit window of
-// Config.Queue unacknowledged batches gives the same backpressure the
-// local pipeline has: rank 0 never buffers more than Queue batches per
-// remote rank plus its own (Queue + Workers)-buffer local pipeline, so
-// cluster-wide resident reads stay bounded by configuration while the
-// input can be arbitrarily large.
+// Streamed read-split, the read-split path for every run without an
+// op deadline (RunReadSplit delegates here with its slice wrapped as a
+// source): rank 0 owns the input stream and deals fixed-size batches
+// round-robin to the ranks — batch i goes to rank i mod size, so the
+// shard assignment is deterministic regardless of relative rank speed.
+// A per-rank credit window of Config.Queue unacknowledged batches gives
+// the same backpressure the local pipeline has: rank 0 never buffers
+// more than Queue batches per remote rank plus its own
+// (Queue + Workers)-buffer local pipeline, so cluster-wide resident
+// reads stay bounded by configuration while the input can be
+// arbitrarily large.
 //
 // Each rank feeds its arriving batches into Engine.MapReadsFrom through
-// a channel-backed Source, then the ordinary read-split collective tail
-// (stats Allreduce + accumulator ReduceTree) runs unchanged — so the
-// streamed result is call-identical to RunReadSplit over the
-// materialized stream.
+// a channel-backed Source, then the read-split collective tail (stats
+// Allreduce + accumulator ReduceTree) folds the ranks together.
 //
 // The fault-tolerant protocol needs replayable shards (a dead worker's
 // whole shard is re-mapped elsewhere), which a stream cannot offer;
-// callers with OpTimeout configured must materialize and use
-// RunReadSplit. gnumap.RunClusterStream handles that fallback.
+// callers with OpTimeout configured must materialize the reads and use
+// RunReadSplit, which then runs runReadSplitFT. gnumap.RunCluster does
+// that materialization.
 
 // streamShard is one dealt batch of reads, the end-of-stream marker
 // (Done), or a checkpoint-round marker (Ckpt): on Ckpt the receiving

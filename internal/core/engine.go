@@ -20,7 +20,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -62,8 +61,8 @@ type Config struct {
 	// Workers is the shared-memory worker count (default GOMAXPROCS).
 	Workers int
 	// Batch is the number of reads per unit of worker-pool work: the
-	// claim granularity of MapReads and the producer batch size of the
-	// streaming MapReadsFrom (default 64).
+	// producer batch size of the streaming pipeline that every mapping
+	// call runs through (default 64).
 	Batch int
 	// Queue bounds the streaming pipeline's work queue, in batches
 	// (default 4). MapReadsFrom recycles (Queue + Workers) batch
@@ -906,9 +905,8 @@ func (e *Engine) weights(locs []location, buf []float64) []float64 {
 }
 
 // consumeRead maps one read and folds its weighted contributions into
-// acc — the shared per-read body of the slice (MapReads) and streaming
-// (MapReadsFrom) worker loops. Stats fields are updated atomically;
-// the accumulator handles its own locking.
+// acc — the per-read body of the MapReadsFrom worker loop. Stats fields
+// are updated atomically; the accumulator handles its own locking.
 func (m *mapper) consumeRead(rd *fastq.Read, acc genome.Accumulator, accOffset int, st *Stats) error {
 	met := m.met
 	var tRead time.Time
@@ -962,72 +960,10 @@ func (m *mapper) consumeRead(rd *fastq.Read, acc genome.Accumulator, accOffset i
 	return nil
 }
 
-// MapReads maps reads with the shared-memory worker pool, accumulating
-// online into acc. Accumulator index 0 corresponds to global position
-// accOffset (zero for a whole-genome accumulator).
-//
-// Error handling: the first worker failure latches the error AND a
-// shared stop flag checked in the batch-claim loop, so surviving
-// workers finish at most the batch they already hold instead of
-// mapping the rest of the input into an accumulator the caller is
-// about to discard.
+// MapReads maps an in-memory read slice through the streaming pipeline
+// (MapReadsFrom over a slice source), accumulating online into acc.
+// Accumulator index 0 corresponds to global position accOffset (zero
+// for a whole-genome accumulator).
 func (e *Engine) MapReads(reads []*fastq.Read, acc genome.Accumulator, accOffset int) (Stats, error) {
-	var st Stats
-	if acc == nil {
-		return st, fmt.Errorf("core: nil accumulator")
-	}
-	workers := e.cfg.Workers
-	if workers > len(reads) && len(reads) > 0 {
-		workers = len(reads)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	var firstErr error
-	var errMu sync.Mutex
-	var stop atomic.Bool
-	latch := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		stop.Store(true)
-	}
-	next := int64(-1)
-	batch := int64(e.cfg.Batch)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m, err := e.newMapper()
-			if err != nil {
-				latch(err)
-				return
-			}
-			target := workerTarget(acc)
-			for {
-				if stop.Load() {
-					return
-				}
-				lo := (atomic.AddInt64(&next, 1)) * batch
-				if lo >= int64(len(reads)) {
-					return
-				}
-				hi := lo + batch
-				if hi > int64(len(reads)) {
-					hi = int64(len(reads))
-				}
-				for _, rd := range reads[lo:hi] {
-					if err := m.consumeRead(rd, target, accOffset, &st); err != nil {
-						latch(err)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return st, firstErr
+	return e.MapReadsFrom(fastq.SliceSource(reads), acc, accOffset)
 }

@@ -13,11 +13,11 @@ import (
 	"gnumap/internal/obs"
 )
 
-// The streaming execution path. MapReads materializes every read
-// before mapping, so resident memory grows with the dataset;
-// MapReadsFrom instead pulls reads from a fastq.Source through a
-// bounded producer/consumer pipeline whose footprint is fixed by
-// configuration:
+// The mapping execution path. Every read set — a FASTQ stream, a
+// cluster rank's dealt batches, or an in-memory slice (MapReads wraps it
+// in fastq.SliceSource) — is mapped by MapReadsFrom, which pulls reads
+// from a fastq.Source through a bounded producer/consumer pipeline whose
+// footprint is fixed by configuration:
 //
 //   - one reader goroutine fills fixed-size batches (Config.Batch
 //     reads each) and sends them into a work channel bounded at
@@ -26,8 +26,8 @@ import (
 //     (Queue + Workers) buffers, so the producer blocks — backpressure
 //     on the input stream — once every buffer is filled or being
 //     mapped. Resident reads never exceed (Queue + Workers) · Batch;
-//   - the existing mapper worker pool drains the queue, each worker
-//     reusing its zero-allocation scratch state across batches;
+//   - the mapper worker pool drains the queue, each worker reusing its
+//     zero-allocation scratch state across batches;
 //   - the first failure (worker or source) latches the error and a
 //     stop signal: workers stop picking up batches, the producer stops
 //     reading, and MapReadsFrom returns the first error.
@@ -118,14 +118,12 @@ type CheckpointPolicy struct {
 	Quiesced func(consumed int64) error
 }
 
-// MapReadsFrom maps every read src yields, accumulating online into
-// acc exactly as MapReads does, while holding at most
+// MapReadsFrom maps every read src yields with the shared-memory worker
+// pool, accumulating online into acc while holding at most
 // (Queue + Workers) · Batch reads in memory. Accumulator index 0
-// corresponds to global position accOffset.
-//
-// The result is call-identical to MapReads over the materialized
-// stream: same Stats, same accumulated mass (up to the float
-// accumulation-order tolerance the worker pool already has).
+// corresponds to global position accOffset. With one worker, reads are
+// accumulated in source order, so the result is bit-identical for any
+// Batch or Queue; with several, only float accumulation order varies.
 func (e *Engine) MapReadsFrom(src fastq.Source, acc genome.Accumulator, accOffset int) (Stats, error) {
 	return e.MapReadsFromCkpt(src, acc, accOffset, nil)
 }

@@ -53,10 +53,10 @@ func TestMapReadsStopLatch(t *testing.T) {
 	}
 }
 
-// TestMapReadsFromMatchesMapReads checks the streaming path is
-// call-identical to the slice path: same Stats and the same
-// accumulated per-position mass (same float tolerance the worker pool
-// already has for accumulation-order differences).
+// TestMapReadsFromMatchesMapReads checks a slice fed through MapReads
+// and the same reads pulled from a source by MapReadsFrom agree with
+// four workers: same Stats and the same accumulated per-position mass
+// (up to the float tolerance for accumulation-order differences).
 func TestMapReadsFromMatchesMapReads(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 43)
 	cfg := Config{Workers: 4, Batch: 16, Queue: 2}
@@ -235,10 +235,10 @@ func TestMapReadsFromEmptySource(t *testing.T) {
 	}
 }
 
-// TestRunReadSplitStreamMatchesRunReadSplit checks the dealt-shard
-// cluster path reduces to the same accumulator as the pre-split slice
-// path, at several node counts.
-func TestRunReadSplitStreamMatchesRunReadSplit(t *testing.T) {
+// TestRunReadSplitStreamMatchesSingleProcess checks the dealt-shard
+// cluster path reduces to the same accumulator as the single-process
+// engine, at several node counts.
+func TestRunReadSplitStreamMatchesSingleProcess(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 67)
 	want := sharedBaseline(t, p, genome.Norm)
 

@@ -17,12 +17,14 @@ import (
 	"gnumap/internal/snp"
 )
 
-// StreamBenchRow is one mapping-path measurement, emitted by snpbench
-// as machine-readable BENCH_stream.json so successive PRs can track the
-// streaming pipeline against the materialized baseline.
+// StreamBenchRow is one mapping-input measurement, emitted by snpbench
+// as machine-readable BENCH_stream.json so successive PRs can track
+// streamed input against materialized input through the same pipeline.
 type StreamBenchRow struct {
-	// Path identifies the execution path: "slice" (ReadFile + MapReads)
-	// or "stream" (Open + MapReadsFrom).
+	// Path identifies the input: "slice" (ReadFile, then MapReads, which
+	// wraps the slice as a source) or "stream" (Open + MapReadsFrom).
+	// Both map through the same bounded pipeline and worker pool, so
+	// the rows differ only in whether every read is loaded first.
 	Path string `json:"path"`
 	// Reads is the number of reads mapped; WallNs the end-to-end wall
 	// time including the FASTQ I/O; ReadsPerSec the throughput.
@@ -34,8 +36,8 @@ type StreamBenchRow struct {
 	// peak RSS.
 	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
 	// PeakResidentReads is the streaming pipeline's
-	// stream.peak.resident.reads gauge (0 on the slice path, which
-	// holds every read at once).
+	// stream.peak.resident.reads gauge (0 on the slice row, which runs
+	// without a metrics registry and holds every read at once anyway).
 	PeakResidentReads int64 `json:"peak_resident_reads"`
 	// The streaming configuration the row ran under.
 	Workers int `json:"workers"`
@@ -123,8 +125,9 @@ func (s *heapSampler) Stop() uint64 {
 const streamBenchIters = 3
 
 // StreamBench maps the dataset from an on-disk FASTQ four ways —
-// materialized (ReadFile + MapReads), through the bounded streaming
-// pipeline (Open + MapReadsFrom), streaming with periodic durable
+// materialized (ReadFile + MapReads: every read loaded, then fed to the
+// pipeline from memory), streamed off the file (Open + MapReadsFrom),
+// streaming with periodic durable
 // checkpoints every ckptEvery reads, and streaming with incremental
 // SNP calling overlapped at the same cadence (ckptEvery 0 skips both
 // extra rows) — and reports
@@ -163,7 +166,8 @@ func StreamBench(ds *Dataset, workers, batch, queue int, ckptEvery int64) ([]Str
 		return bestRow, bestAcc, nil
 	}
 
-	// Slice path: materialize, then map.
+	// Slice row: materialize, then map the slice through the same
+	// pipeline.
 	sliceRow, sliceAcc, err := best(func() (StreamBenchRow, genome.Accumulator, error) {
 		acc, err := genome.New(genome.Norm, ds.Ref.Len())
 		if err != nil {

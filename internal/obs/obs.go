@@ -266,8 +266,15 @@ func (h HistogramSnapshot) Mean() float64 {
 // interpolation within the containing bucket. The overflow bucket
 // reports its lower bound (the estimate is then a floor).
 func (h HistogramSnapshot) Quantile(q float64) float64 {
+	v, _ := h.quantile(q)
+	return v
+}
+
+// quantile is Quantile plus whether the estimate is only a lower bound:
+// the quantile landed in the overflow bucket, above every bound.
+func (h HistogramSnapshot) quantile(q float64) (float64, bool) {
 	if h.Count == 0 {
-		return 0
+		return 0, false
 	}
 	target := q * float64(h.Count)
 	cum := int64(0)
@@ -282,16 +289,16 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 			lo = h.Bounds[i-1]
 		}
 		if i >= len(h.Bounds) {
-			return lo
+			return lo, true
 		}
 		hi := h.Bounds[i]
 		frac := (target - float64(prev)) / float64(c)
-		return lo + (hi-lo)*frac
+		return lo + (hi-lo)*frac, false
 	}
 	if n := len(h.Bounds); n > 0 {
-		return h.Bounds[n-1]
+		return h.Bounds[n-1], len(h.Counts) > n && h.Counts[n] > 0
 	}
-	return 0
+	return 0, false
 }
 
 // Snapshot is a registry's state at one moment: plain data, safe to

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -204,6 +205,40 @@ func TestReportJSONRoundTripAndValidate(t *testing.T) {
 	}
 	if !strings.Contains(text.String(), "map.read.seconds") || !strings.Contains(text.String(), "DEAD ranks [2]") {
 		t.Fatalf("text summary missing expected content:\n%s", text.String())
+	}
+}
+
+// TestReportTextUnitsAndOverflow pins two rendering rules of the text
+// summary: only *.seconds histograms print as durations (a count
+// histogram's mean of 15.5 must not read "15.500s"), and a quantile in
+// the overflow bucket prints as a lower bound, not as the exact last
+// bound.
+func TestReportTextUnitsAndOverflow(t *testing.T) {
+	r := NewRegistry()
+	cands := r.Histogram("map.candidates.per.read", CountBuckets)
+	cands.Observe(15)
+	cands.Observe(16)
+	r.Timer("map.read.seconds").Observe(51.7)
+	rep, err := NewReport([]Snapshot{r.Snapshot(0)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := rep.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(text.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 6 {
+			rows[f[0]] = f[1:]
+		}
+	}
+	// count, mean, p50, p99, total
+	if got, want := rows["map.candidates.per.read"], []string{"2", "15.500", "12", "15.920", "31"}; !slices.Equal(got, want) {
+		t.Errorf("count histogram row = %v, want %v\n%s", got, want, text.String())
+	}
+	if got, want := rows["map.read.seconds"], []string{"1", "51.700s", ">16.777s", ">16.777s", "51.700s"}; !slices.Equal(got, want) {
+		t.Errorf("overflowing timer row = %v, want %v\n%s", got, want, text.String())
 	}
 }
 

@@ -6,7 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -59,9 +62,10 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteText renders the human summary: the merged stage-timer table
-// (count, mean, p50, p99, total), the merged counters, and the
-// per-rank health line.
+// WriteText renders the human summary: the merged histogram table
+// (count, mean, p50, p99, total — durations for *.seconds timers, plain
+// numbers otherwise, and ">bound" for a quantile above the last bucket
+// bound), the merged counters, and the per-rank health line.
 func (r *Report) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "metrics (%d rank snapshot(s)", len(r.Ranks))
@@ -71,13 +75,25 @@ func (r *Report) WriteText(w io.Writer) error {
 	fmt.Fprintf(bw, ")\n")
 	if len(r.Merged.Histograms) > 0 {
 		fmt.Fprintf(bw, "%-28s %12s %12s %12s %12s %12s\n",
-			"stage", "count", "mean", "p50", "p99", "total")
+			"histogram", "count", "mean", "p50", "p99", "total")
 		for _, name := range sortedKeys(r.Merged.Histograms) {
 			h := r.Merged.Histograms[name]
+			// Only timers (named *.seconds) hold durations; every other
+			// histogram counts things per observation.
+			format := fmtCount
+			if strings.HasSuffix(name, ".seconds") {
+				format = fmtSeconds
+			}
+			quantile := func(q float64) string {
+				v, above := h.quantile(q)
+				if above {
+					return ">" + format(v)
+				}
+				return format(v)
+			}
 			fmt.Fprintf(bw, "%-28s %12d %12s %12s %12s %12s\n",
-				name, h.Count,
-				fmtSeconds(h.Mean()), fmtSeconds(h.Quantile(0.5)),
-				fmtSeconds(h.Quantile(0.99)), fmtSeconds(h.Sum))
+				name, h.Count, format(h.Mean()), quantile(0.5),
+				quantile(0.99), format(h.Sum))
 		}
 	}
 	if len(r.Merged.Counters) > 0 {
@@ -99,6 +115,15 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// fmtCount renders a count statistic: integers as such, fractional
+// means and interpolated quantiles to three decimals.
+func fmtCount(v float64) string {
+	if v == math.Trunc(v) {
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	return strconv.FormatFloat(v, 'f', 3, 64)
 }
 
 // fmtSeconds renders a duration-in-seconds with an adaptive unit.

@@ -90,7 +90,7 @@ func TestStreamingIdentityE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls4, st4, err := RunClusterStream(4, Channels, ReadSplit, ds.Reference, src4, Options{Engine: engCfg})
+	calls4, st4, err := RunCluster(4, Channels, ReadSplit, ds.Reference, src4, Options{Engine: engCfg})
 	if cerr := src4.Close(); err == nil {
 		err = cerr
 	}
@@ -119,7 +119,7 @@ func TestStreamingGenomeSplitFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls, _, err := RunClusterStream(3, Channels, GenomeSplit,
+	calls, _, err := RunCluster(3, Channels, GenomeSplit,
 		ds.Reference, SliceReadSource(ds.Reads), Options{Engine: EngineConfig{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestStreamingGenomeSplitFallback(t *testing.T) {
 // path must surface the streaming gauges in the merged report.
 func TestStreamingReportCarriesStreamMetrics(t *testing.T) {
 	ds := dataset(t)
-	calls, _, report, err := RunClusterStreamReport(2, Channels, ReadSplit,
+	calls, _, report, err := RunClusterReport(2, Channels, ReadSplit,
 		ds.Reference, SliceReadSource(ds.Reads), Options{Engine: EngineConfig{Workers: 2, Batch: 32, Queue: 2}})
 	if err != nil {
 		t.Fatal(err)
